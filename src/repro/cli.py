@@ -395,10 +395,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 obs.record_ingest(ingest)
         elif getattr(fleet.scanner, "backend", "str") != "str":
             # Byte pipeline: mmap → byte kernels, rejected lines never
-            # decoded; run_lines folds ingest into obs itself.
+            # decoded; run_lines folds ingest into obs itself.  Sampled
+            # timing reads the clock only around FC-related feeds, so
+            # every prediction still carries its chain-check time.
             report = fleet.run_lines(
                 args.log, on_error=args.on_error,
-                reorder_horizon=args.reorder_horizon, timing="off",
+                reorder_horizon=args.reorder_horizon, timing="sampled",
             )
             ingest = report.ingest
         else:

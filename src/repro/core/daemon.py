@@ -67,10 +67,10 @@ import os
 import socket
 import threading
 import time as _time
-from datetime import datetime
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from ..logsim.emitter import parse_time_prefix
 from ..logsim.stream import ERROR_POLICIES, IngestStats, SortBuffer
 from ..obs import (
     DAEMON_BACKPRESSURE_STALLS,
@@ -99,24 +99,6 @@ class _TimedLine(NamedTuple):
 
     time: float
     line: str
-
-
-def _parse_line_time(line: str) -> Optional[float]:
-    """The leading timestamp of a serialized record (ISO-8601 or bare
-    epoch float), or ``None`` when the header is unparseable — such
-    lines are routed around the reorder buffer; they can only be
-    quarantined worker-side, so their relative order is immaterial."""
-    head, sep, _ = line.partition(" ")
-    if not sep:
-        return None
-    try:
-        return float(head)
-    except ValueError:
-        pass
-    try:
-        return datetime.fromisoformat(head).timestamp()
-    except (ValueError, OverflowError, OSError):
-        return None
 
 
 def _daemon_worker_main(
@@ -751,7 +733,10 @@ class FleetDaemon:
         if sort is None:
             self.submit(line)
             return
-        t = _parse_line_time(line)
+        # An unparseable header is routed around the reorder buffer: such
+        # a line can only be quarantined worker-side, so its relative
+        # order is immaterial.
+        t = parse_time_prefix(raw)
         if t is None:
             self.submit(line)
             return

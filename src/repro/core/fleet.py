@@ -45,6 +45,22 @@ _message_of = attrgetter("message")
 _SPAN_AUTO = object()
 
 
+def _tokenize_hits(tokenize: Tokenizer) -> Callable:
+    """A ``scan_hits`` adapter for scanners that only tokenize one line
+    at a time (``NaiveTemplateScanner``, or a bare tokenizer)."""
+    def scan_hits(messages):
+        return [(i, token) for i, token in enumerate(map(tokenize, messages))
+                if token is not None]
+    return scan_hits
+
+
+def _event_hits(events, hits):
+    """The decoded-event hit source: ``(node, token, time)`` per hit."""
+    for i, token in hits:
+        event = events[i]
+        yield event.node, token, event.time
+
+
 @dataclass
 class FleetReport:
     """Aggregate outcome of a fleet run.
@@ -102,10 +118,11 @@ class PredictorFleet:
         self.scanner = scanner  # the shared scanner object, if known
         self._clock = clock
         self._predictors: Dict[str, AarohiPredictor] = {}
-        # Byte-path bookkeeping: raw node id -> decoded name (hits only),
-        # and lines scanned without per-predictor attribution (see
-        # :meth:`run_buffer`) so the funnel resolution stays exact.
-        self._node_names: Dict[bytes, str] = {}
+        # Hit-loop routing: raw node id (str, or bytes from byte
+        # sources) -> predictor, and lines scanned without per-predictor
+        # attribution (see :meth:`run_buffer`) so the funnel resolution
+        # stays exact.
+        self._routes: Dict[object, AarohiPredictor] = {}
         self._scanned_unattributed = 0
 
     @classmethod
@@ -131,7 +148,7 @@ class PredictorFleet:
                 scanner = NaiveTemplateScanner(store, keep=chains.token_set)
         # Per-event paths hand the tokenizer decoded text, so on byte
         # backends the fleet holds the encoding adapter, not the raw
-        # byte kernel (which only run_buffer/_run_flat call directly).
+        # byte kernel (which only the batched hit sources call).
         tokenizer = getattr(scanner, "tokenize_text", None) or scanner.tokenize
         return cls(chains, tokenizer, obs=obs, scanner=scanner, **kwargs)
 
@@ -173,16 +190,18 @@ class PredictorFleet:
     ) -> FleetReport:
         """Drive a whole (time-ordered) stream through the fleet.
 
-        The accept-or-discard decision is node-independent (every node
-        shares the merged scanner), so for ``timing="off"``/``"sampled"``
-        the stream is **not** grouped by node at all: one batched
-        :meth:`~repro.templates.store.TemplateScanner.scan_hits` call
-        scans every message, and only the rare surviving hits are routed
-        to their per-node engines.  Discarded lines never surface as
-        per-event Python work — no tuple, no dict probe, no function
-        call.  ``timing="full"`` (per-line tokenize timing) and fleets
-        without a batch-capable scanner fall back to grouping by node
-        and running :meth:`AarohiPredictor.process_batch`'s flat loop.
+        The fleet has two drivers.  ``timing="full"`` is the per-event
+        reference: :meth:`process` per event, timing every tokenize and
+        every feed.  ``"sampled"`` and ``"off"`` take the hit loop
+        (:meth:`_drive_hits`): the accept-or-discard decision is
+        node-independent (every node shares the merged scanner), so one
+        batched ``scan_hits`` call scans every message and only the rare
+        surviving hits are routed to their per-node engines.  Discarded
+        lines never surface as per-event Python work — no tuple, no dict
+        probe, no function call.  ``"sampled"``
+        reads the clock twice per FC-related hit; ``"off"`` never does.
+        A scanner without ``scan_hits`` gets a per-line adapter over the
+        tokenizer, so it takes the same loop.
 
         Either way predictions come back in stream order, exactly as the
         per-event loop would produce them, and per-node predictor stats
@@ -196,10 +215,56 @@ class PredictorFleet:
         if timing not in _TIMING_MODES:
             raise ValueError(f"unknown timing mode {timing!r}")
         span = self._span_start() if _span is _SPAN_AUTO else _span
-        scan_hits = getattr(self.scanner, "scan_hits", None)
-        if timing != "full" and scan_hits is not None:
-            return self._run_flat(events, timing, scan_hits, span)
-        return self._run_grouped(events, timing, span)
+        obs = self.obs
+        t_run = _time.perf_counter() if obs is not None else 0.0
+        if not isinstance(events, (list, tuple)):
+            events = list(events)
+        report = FleetReport()
+        # Per-node line counts in one C-speed pass (map/attrgetter/
+        # Counter all run without per-event bytecode).
+        node_counts = Counter(map(_node_of, events))
+        predictors = [self.predictor_for(node) for node in node_counts]
+        if timing == "full":
+            if span is not None:
+                span.lap(STAGE_DECODE, len(events))
+            before = [p.stats.snapshot() for p in predictors]
+            process = self.process
+            predictions = report.predictions
+            for event in events:
+                prediction = process(event)
+                if prediction is not None:
+                    predictions.append(prediction)
+            for predictor, since in zip(predictors, before):
+                report.stats.add(predictor.stats.diff(since))
+            if span is not None:
+                # process() tokenizes and matches in one call, so the
+                # whole loop lands on the match stage.
+                span.lap(STAGE_MATCH, report.stats.lines_tokenized)
+        else:
+            for predictor, n in zip(predictors, node_counts.values()):
+                predictor.stats.lines_seen += n
+            messages = list(map(_message_of, events))
+            if getattr(self.scanner, "backend", "str") != "str":
+                # Byte-backend kernels scan raw bytes; pre-decoded events
+                # re-encode here (the zero-decode win belongs to run_buffer).
+                messages = [m.encode("utf-8", "replace") for m in messages]
+            if span is not None:
+                # Node accounting + message extraction (+ re-encode) is the
+                # in-memory analog of the decode stage.
+                span.lap(STAGE_DECODE, len(events))
+            scan_hits = (getattr(self.scanner, "scan_hits", None)
+                         or _tokenize_hits(self.tokenizer))
+            hits = scan_hits(messages)
+            if span is not None:
+                span.lap(STAGE_SCAN, len(events))
+            report.stats.lines_seen = len(events)
+            self._drive_hits(_event_hits(events, hits), timing, report, span)
+        report.nodes = len(self._predictors)
+        if obs is not None:
+            self._record_run(obs, report, _time.perf_counter() - t_run,
+                             list(node_counts.values()),
+                             events[-1].time if events else None, span)
+        return report
 
     def run_lines(
         self,
@@ -222,6 +287,13 @@ class PredictorFleet:
         (clock skew, interleaved controllers) reaches the engines in
         time order.  When the fleet carries an Observability, the
         ingest funnel is folded in alongside the run's other series.
+
+        ``timing`` picks the driver as in :meth:`run`.  ``"off"`` and
+        ``"sampled"`` feed the one hit loop from whichever hit source
+        fits: the fused native kernel for a native scanner reading a
+        path or buffer, :meth:`run_buffer` for other byte backends, and
+        decoded events otherwise.  ``"full"`` always decodes and takes
+        the per-event reference.
         """
         from pathlib import Path
 
@@ -235,32 +307,32 @@ class PredictorFleet:
 
         stats = IngestStats()
         span = self._span_start()
+        is_buffer = isinstance(source, (str, Path, bytes, bytearray, memoryview))
         # Fused native path: the compiled kernel splits, header-checks
         # and scans the raw blob in a single C pass — Python sees only
         # the hits and the rare suspect records.  Restricted to the
-        # plain replay shape: no per-line timing, no reorder buffer,
-        # and a tolerant policy (strict must attribute the *first* bad
-        # record, which means classifying every record in order).
+        # plain replay shape: no reorder buffer, and a tolerant policy
+        # (strict must attribute the *first* bad record, which means
+        # classifying every record in order).
         if (
-            timing == "off"
+            timing != "full"
             and reorder_horizon == 0
             and on_error != "strict"
             and getattr(self.scanner, "scan_records", None) is not None
-            and isinstance(source, (str, Path, bytes, bytearray, memoryview))
+            and is_buffer
         ):
             report = self._run_fused(
-                source, on_error=on_error, stats=stats, span=span)
+                source, on_error=on_error, timing=timing, stats=stats,
+                span=span)
             report.ingest = stats
             return report
         # Byte fast path: a byte-backend scanner reading from a file or
         # a raw byte buffer never decodes the ~99% of lines the funnel
         # rejects — records go straight from mmap to the byte kernel.
-        # Per-line timing needs per-event tokenize calls, so timing=
-        # "full" stays on the decoded path.
         if (
             timing != "full"
             and getattr(self.scanner, "backend", "str") != "str"
-            and isinstance(source, (str, Path, bytes, bytearray, memoryview))
+            and is_buffer
         ):
             batch = read_byte_batch(
                 source, on_error=on_error,
@@ -309,11 +381,10 @@ class PredictorFleet:
         """Drive a :class:`~repro.logsim.stream.ByteRecordBatch` through
         the fleet without decoding rejected lines.
 
-        This is the byte-pipeline terminus: one batched byte-kernel
-        ``scan_hits`` call over the raw records, then per-hit routing
-        identical to :meth:`_run_flat`.  Node ids are decoded lazily —
-        only for the rare matching lines, through a persistent
-        ``bytes → str`` cache — so a discarded record costs zero Python
+        This is the byte-pipeline hit source: one batched byte-kernel
+        ``scan_hits`` call over the raw records, whose hits feed the
+        same hit loop as :meth:`run`.  Node ids stay raw bytes until a
+        node's first hit, so a discarded record costs zero Python
         objects beyond its slice.
 
         One deliberate difference from the event paths: per-predictor
@@ -351,68 +422,12 @@ class PredictorFleet:
             hits = scan_hits(batch.messages)
         if span is not None:
             span.lap(STAGE_SCAN, len(batch))
-        is_relevant = self.chains.is_relevant
-        predictor_for = self.predictor_for
-        node_names = self._node_names
-        predictions = report.predictions
-        sampled = timing == "sampled"
-        tokenized = 0
-        n_predictions = 0
-        feed_seconds = 0.0
-        for i, token in hits:
-            if not is_relevant(token):
-                continue
-            raw = nodes[i]
-            node = node_names.get(raw)
-            if node is None:
-                node = node_names[raw] = str(raw, "utf-8", "replace")
-            predictor = predictor_for(node)
-            predictor.stats.lines_tokenized += 1
-            tokenized += 1
-            event_time = times[i]
-            if sampled:
-                clock = predictor._clock
-                t0 = clock()
-                match = predictor._engine.feed(token, event_time)
-                cost = clock() - t0
-                predictor.stats.feed_seconds += cost
-                feed_seconds += cost
-                predictor._chain_cost += cost
-            else:
-                match = predictor._engine.feed(token, event_time)
-            if match is None:
-                continue
-            if sampled:
-                prediction_time = predictor._chain_cost
-                predictor._chain_cost = 0.0
-            else:
-                prediction_time = 0.0
-            predictor.stats.predictions += 1
-            n_predictions += 1
-            # Predictions are rare, so per-hit clock reads for the emit
-            # stage only run on sampled runs and cost nothing upstream.
-            t_emit = _time.perf_counter() if span is not None else 0.0
-            prediction = Prediction(
-                node=node,
-                chain_id=match.chain_id,
-                flagged_at=match.end_time,
-                prediction_time=prediction_time,
-                matched_tokens=match.tokens,
-            )
-            if predictor._obs_emit is not None:
-                predictor._obs_emit(prediction)
-            predictions.append(prediction)
-            if span is not None:
-                span.carve(STAGE_MATCH, STAGE_EMIT,
-                           _time.perf_counter() - t_emit, 1)
-        if span is not None:
-            span.lap(STAGE_MATCH, tokenized)
+        self._drive_hits(
+            ((nodes[i], token, times[i]) for i, token in hits),
+            timing, report, span)
         n_records = len(batch)
         self._scanned_unattributed += n_records
         report.stats.lines_seen = n_records
-        report.stats.lines_tokenized = tokenized
-        report.stats.predictions = n_predictions
-        report.stats.feed_seconds = feed_seconds
         report.nodes = len(self._predictors)
         if obs is not None:
             self._record_run(obs, report, _time.perf_counter() - t_run,
@@ -425,6 +440,7 @@ class PredictorFleet:
         source,
         *,
         on_error: str,
+        timing: Timing,
         stats,
         span: Optional[SpanTimer] = None,
     ) -> FleetReport:
@@ -438,10 +454,11 @@ class PredictorFleet:
         so quarantine decisions, counts, and warn-policy logging are
         identical to :func:`~repro.logsim.stream.read_record_batch`;
         decoded suspects are tokenized through the scanner like any
-        other line.  Because emissions arrive in stream order, the
-        per-node chain engines see the exact feed sequence of the
-        unfused pipeline — predictions are byte-identical (asserted by
-        the fused-equivalence tests).
+        other line.  Hits stream in record order into the same hit loop
+        as :meth:`run`, so the per-node chain engines see the exact feed
+        sequence of the unfused pipeline — predictions are
+        byte-identical (asserted by the fused-equivalence tests).  ``stats`` is this
+        run's fresh ingest funnel.
         """
         from ..logsim.stream import WARN_LINE_CAP, _log, open_byte_buffer
         from .events import LogDecodeError, parse_record_bytes
@@ -450,16 +467,8 @@ class PredictorFleet:
         t_run = _time.perf_counter() if obs is not None else 0.0
         warn = on_error == "warn"
         report = FleetReport()
-        is_relevant = self.chains.is_relevant
-        predictor_for = self.predictor_for
-        node_names = self._node_names
-        predictions = report.predictions
         tokenize = self.scanner.tokenize
-        tokenized = 0
-        n_predictions = 0
-        quarantined = 0
-        by_reason: Dict[str, int] = {}
-        suspect_decoded = 0
+        by_reason = stats.quarantined_by_reason
         tail_t: Optional[float] = None  # last decoded suspect (stream order)
         tail_off = -1
         last_time: Optional[float] = None
@@ -469,54 +478,33 @@ class PredictorFleet:
             n_records, n_ok, items, last_ok = self.scanner.scan_records(blob)
             if span is not None:
                 span.lap(STAGE_SCAN, n_records)
-            for off, length, token in items:
-                record = blob[off:off + length]
-                if type(record) is not bytes:  # bytearray source
-                    record = bytes(record)
-                if token < 0:  # suspect: the tolerant Python parse path
-                    try:
-                        t, raw, message = parse_record_bytes(record)
-                    except LogDecodeError as exc:
-                        quarantined += 1
-                        reason = exc.reason
-                        by_reason[reason] = by_reason.get(reason, 0) + 1
-                        if warn and quarantined <= WARN_LINE_CAP:
-                            _log.warning("quarantined record (%s)", exc)
-                        continue
-                    suspect_decoded += 1
-                    tail_t, tail_off = t, off
-                    token = tokenize(message)
-                    if token is None:
-                        continue
-                else:  # hit: C validated the header, the parse cannot fail
-                    t, raw, message = parse_record_bytes(record)
-                if not is_relevant(token):
-                    continue
-                node = node_names.get(raw)
-                if node is None:
-                    node = node_names[raw] = str(raw, "utf-8", "replace")
-                predictor = predictor_for(node)
-                predictor.stats.lines_tokenized += 1
-                tokenized += 1
-                match = predictor._engine.feed(token, t)
-                if match is None:
-                    continue
-                predictor.stats.predictions += 1
-                n_predictions += 1
-                t_emit = _time.perf_counter() if span is not None else 0.0
-                prediction = Prediction(
-                    node=node,
-                    chain_id=match.chain_id,
-                    flagged_at=match.end_time,
-                    prediction_time=0.0,
-                    matched_tokens=match.tokens,
-                )
-                if predictor._obs_emit is not None:
-                    predictor._obs_emit(prediction)
-                predictions.append(prediction)
-                if span is not None:
-                    span.carve(STAGE_MATCH, STAGE_EMIT,
-                               _time.perf_counter() - t_emit, 1)
+
+            def hits():
+                nonlocal tail_t, tail_off
+                for off, length, token in items:
+                    record = blob[off:off + length]
+                    if type(record) is not bytes:  # bytearray source
+                        record = bytes(record)
+                    if token < 0:  # suspect: the tolerant Python parse path
+                        try:
+                            t, raw, message = parse_record_bytes(record)
+                        except LogDecodeError as exc:
+                            stats.quarantined += 1
+                            reason = exc.reason
+                            by_reason[reason] = by_reason.get(reason, 0) + 1
+                            if warn and stats.quarantined <= WARN_LINE_CAP:
+                                _log.warning("quarantined record (%s)", exc)
+                            continue
+                        stats.decoded += 1
+                        tail_t, tail_off = t, off
+                        token = tokenize(message)
+                        if token is None:
+                            continue
+                    else:  # hit: C validated the header, the parse cannot fail
+                        t, raw, _ = parse_record_bytes(record)
+                    yield raw, token, t
+
+            self._drive_hits(hits(), timing, report, span)
             # Stream-order last event time: the later of the last
             # C-accepted record and the last decoded suspect.
             if last_ok is not None and last_ok[0] > tail_off:
@@ -527,24 +515,16 @@ class PredictorFleet:
                 last_time = parse_record_bytes(rec)[0]
             elif tail_off >= 0:
                 last_time = tail_t
-        if span is not None:
-            span.lap(STAGE_MATCH, tokenized)
-        if warn and quarantined > WARN_LINE_CAP:
+        if warn and stats.quarantined > WARN_LINE_CAP:
             _log.warning(
                 "quarantined %d further records (suppressed per-record "
                 "warnings after the first %d)",
-                quarantined - WARN_LINE_CAP, WARN_LINE_CAP)
-        decoded = n_ok + suspect_decoded
+                stats.quarantined - WARN_LINE_CAP, WARN_LINE_CAP)
         stats.lines_read += n_records
-        stats.decoded += decoded
-        stats.quarantined += quarantined
-        for reason, n in by_reason.items():
-            stats.quarantined_by_reason[reason] = (
-                stats.quarantined_by_reason.get(reason, 0) + n)
+        stats.decoded += n_ok
+        decoded = stats.decoded
         self._scanned_unattributed += decoded
         report.stats.lines_seen = decoded
-        report.stats.lines_tokenized = tokenized
-        report.stats.predictions = n_predictions
         report.nodes = len(self._predictors)
         if obs is not None:
             obs.record_ingest(stats)
@@ -552,76 +532,64 @@ class PredictorFleet:
                              [decoded] if decoded else [], last_time, span)
         return report
 
-    def _run_flat(
+    def _drive_hits(
         self,
-        events: Iterable[LogEvent],
+        hits: Iterable[tuple],
         timing: Timing,
-        scan_hits: Callable,
-        span: Optional[SpanTimer] = None,
-    ) -> FleetReport:
-        """Whole-stream scan: one batched kernel call, per-hit routing."""
-        obs = self.obs
-        t_run = _time.perf_counter() if obs is not None else 0.0
-        if not isinstance(events, (list, tuple)):
-            events = list(events)
-        report = FleetReport()
-        # Per-node line accounting in one C-speed pass (map/attrgetter/
-        # Counter all run without per-event bytecode), so per-predictor
-        # stats match per-event processing exactly.
-        node_counts = Counter(map(_node_of, events))
-        predictor_for = self.predictor_for
-        for node, n in node_counts.items():
-            predictor_for(node).stats.lines_seen += n
-        messages = list(map(_message_of, events))
-        if getattr(self.scanner, "backend", "str") != "str":
-            # Byte-backend kernels scan raw bytes; pre-decoded events
-            # re-encode here (the zero-decode win belongs to run_buffer).
-            messages = [m.encode("utf-8", "replace") for m in messages]
-        if span is not None:
-            # Node accounting + message extraction (+ re-encode) is the
-            # in-memory analog of the decode stage.
-            span.lap(STAGE_DECODE, len(events))
-        hits = scan_hits(messages)
-        if span is not None:
-            span.lap(STAGE_SCAN, len(events))
+        report: FleetReport,
+        span: Optional[SpanTimer],
+    ) -> None:
+        """The one hit loop behind every batched path.
+
+        ``hits`` yields ``(node, token, event_time)`` in stream order;
+        ``node`` is the raw node id of the hit source (``str`` from
+        decoded events, ``bytes`` from byte records), decoded and routed
+        to its predictor once per node through ``_routes``.  Each
+        FC-related hit is fed to its node's engine — timed when
+        ``timing="sampled"`` — and a completed match is emitted as a
+        :class:`Prediction` with its accumulated chain-check time.  The
+        loop fills the report's ``lines_tokenized``, ``predictions`` and
+        ``feed_seconds``; the caller owns ``lines_seen``.
+        """
         is_relevant = self.chains.is_relevant
-        predictors = self._predictors
+        routes = self._routes
         predictions = report.predictions
         sampled = timing == "sampled"
         tokenized = 0
         n_predictions = 0
         feed_seconds = 0.0
-        for i, token in hits:
+        t0 = 0.0
+        for node, token, event_time in hits:
             if not is_relevant(token):
                 continue
-            event = events[i]
-            predictor = predictors[event.node]
+            predictor = routes.get(node)
+            if predictor is None:
+                predictor = routes[node] = self.predictor_for(
+                    node if isinstance(node, str)
+                    else str(node, "utf-8", "replace"))
             predictor.stats.lines_tokenized += 1
             tokenized += 1
             if sampled:
-                clock = predictor._clock
-                t0 = clock()
-                match = predictor._engine.feed(token, event.time)
-                cost = clock() - t0
+                t0 = predictor._clock()
+            match = predictor._engine.feed(token, event_time)
+            if sampled:
+                cost = predictor._clock() - t0
                 predictor.stats.feed_seconds += cost
                 feed_seconds += cost
                 predictor._chain_cost += cost
-            else:
-                match = predictor._engine.feed(token, event.time)
             if match is None:
                 continue
+            prediction_time = 0.0
             if sampled:
                 prediction_time = predictor._chain_cost
                 predictor._chain_cost = 0.0
-            else:
-                prediction_time = 0.0
             predictor.stats.predictions += 1
             n_predictions += 1
             # Predictions are rare, so per-hit clock reads for the emit
             # stage only run on sampled runs and cost nothing upstream.
             t_emit = _time.perf_counter() if span is not None else 0.0
             prediction = Prediction(
-                node=event.node,
+                node=predictor.node,
                 chain_id=match.chain_id,
                 flagged_at=match.end_time,
                 prediction_time=prediction_time,
@@ -635,70 +603,9 @@ class PredictorFleet:
                            _time.perf_counter() - t_emit, 1)
         if span is not None:
             span.lap(STAGE_MATCH, tokenized)
-        report.stats.lines_seen = len(events)
         report.stats.lines_tokenized = tokenized
         report.stats.predictions = n_predictions
         report.stats.feed_seconds = feed_seconds
-        report.nodes = len(predictors)
-        if obs is not None:
-            self._record_run(obs, report, _time.perf_counter() - t_run,
-                             list(node_counts.values()),
-                             events[-1].time if len(events) else None, span)
-        return report
-
-    def _run_grouped(
-        self,
-        events: Iterable[LogEvent],
-        timing: Timing,
-        span: Optional[SpanTimer] = None,
-    ) -> FleetReport:
-        """Group-by-node path (per-line timing, or no batch scanner)."""
-        obs = self.obs
-        t_run = _time.perf_counter() if obs is not None else 0.0
-        report = FleetReport()
-        # Group (stream index, event) pairs by node.  The grouping loop
-        # runs once per line, so it is kept to one dict probe plus one
-        # cached bound-append call per event.
-        pairs_of: Dict[str, List[tuple]] = {}
-        appends: Dict[str, Callable] = {}
-        get_append = appends.get
-        event: Optional[LogEvent] = None
-        for i, event in enumerate(events):
-            node = event.node
-            append = get_append(node)
-            if append is None:
-                pairs: List[tuple] = []
-                pairs_of[node] = pairs
-                append = appends[node] = pairs.append
-            append((i, event))
-        if span is not None:
-            # Grouping is the decode-analog here; the fused per-node
-            # batches below tokenize and match in one predictor call,
-            # so their whole cost lands on the match stage (coarse by
-            # design — the batched paths get clean stage splits).
-            span.lap(STAGE_DECODE,
-                     sum(len(p) for p in pairs_of.values()))
-        flagged: List[tuple] = []
-        for node, pairs in pairs_of.items():
-            order, batch = zip(*pairs)
-            predictor = self.predictor_for(node)
-            before = predictor.stats.snapshot()
-            predictor._run_batch(
-                batch, timing, lambda j, p, order=order: flagged.append((order[j], p))
-            )
-            report.stats.add(predictor.stats.diff(before))
-        if span is not None:
-            span.lap(STAGE_MATCH, report.stats.lines_tokenized)
-        flagged.sort(key=lambda item: item[0])
-        report.predictions = [p for _, p in flagged]
-        report.nodes = len(self._predictors)
-        if obs is not None:
-            # The stream is time-ordered, so the grouping loop's final
-            # event carries the stream's high-water event time.
-            self._record_run(obs, report, _time.perf_counter() - t_run,
-                             [len(p) for p in pairs_of.values()],
-                             event.time if event is not None else None, span)
-        return report
 
     def _record_run(
         self,

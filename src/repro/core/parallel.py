@@ -25,10 +25,13 @@ The worker initializer rebuilds chain tables once per process from a
 parent's **prebuilt scanner tables** (the compiled-artifact wire format
 of :func:`~repro.persistence.scanner_artifact`) alongside it — workers
 never rerun the NFA→DFA→Hopcroft pipeline, they reconstruct the DFA
-from its serialized arrays.  Workers drive the batched
-:meth:`~repro.core.fleet.PredictorFleet.run` fast path; ``timing``
-selects its clock-read mode (default ``"off"``: discarded lines cost no
-clock reads at all).
+from its serialized arrays.  Each chunk reaches the worker's fleet
+through :func:`_run_chunk` (shared with :mod:`repro.core.daemon`), so
+it takes one of the fleet's two drivers: ``timing="full"`` is the
+per-event reference, while ``"sampled"`` and the default ``"off"``
+feed the fleet's one hit loop — from ``run_buffer`` for byte payloads,
+from ``run`` for decoded lines.  With ``"off"`` no clock is read at
+all.
 """
 
 from __future__ import annotations

@@ -314,6 +314,94 @@ class TestFusedNativePath:
         assert backends == {"native"}
 
 
+def counting_fleet(gen, scan_backend):
+    """A fleet whose predictor clock counts its reads."""
+    reads = []
+
+    def clock():
+        reads.append(1)
+        return float(len(reads))
+
+    fleet = PredictorFleet.from_store(
+        gen.chains, gen.store, timeout=gen.recommended_timeout,
+        scan_backend=scan_backend, clock=clock)
+    return fleet, reads
+
+
+class TestHitSourcesAgree:
+    """``run(events)``, ``run_buffer(batch)`` and ``run_lines(path)`` are
+    three hit sources for one hit loop: on a corrupted stream the whole
+    report — predictions, run stats, ingest funnel — and the clock-read
+    budget must agree across them."""
+
+    @pytest.fixture(scope="class")
+    def corrupted_path(self, window, tmp_path_factory):
+        lines, report = corrupt_window(
+            window.events, CorruptionSpec.all_kinds(0.03), seed=29)
+        assert report.total_faults > 0
+        path = tmp_path_factory.mktemp("hitsources") / "corrupted.log"
+        path.write_bytes("\n".join(lines).encode("utf-8") + b"\n")
+        return path
+
+    @pytest.mark.parametrize("timing", ["off", "sampled"])
+    def test_whole_report_agrees(self, gen, corrupted_path, timing):
+        fleet, reads = counting_fleet(gen, "str")
+        ingest = IngestStats()
+        events = list(read_log(
+            corrupted_path, on_error="quarantine", stats=ingest))
+        by_events = fleet.run(events, timing=timing)
+        by_events.ingest = ingest
+        runs = [(by_events, reads)]
+
+        fleet, reads = counting_fleet(gen, "native")
+        ingest = IngestStats()
+        batch = read_byte_batch(
+            corrupted_path, on_error="quarantine", stats=ingest)
+        by_buffer = fleet.run_buffer(batch, timing=timing)
+        by_buffer.ingest = ingest
+        runs.append((by_buffer, reads))
+
+        fleet, reads = counting_fleet(gen, "native")
+        runs.append((fleet.run_lines(
+            corrupted_path, on_error="quarantine", timing=timing), reads))
+
+        def key(report):
+            return (
+                [(p.node, p.chain_id, p.flagged_at, p.matched_tokens)
+                 for p in report.predictions],
+                (report.stats.lines_seen, report.stats.lines_tokenized,
+                 report.stats.predictions),
+                report.ingest.as_dict(),
+            )
+
+        assert by_events.predictions and by_events.ingest.quarantined > 0
+        for report, _ in runs[1:]:
+            assert key(report) == key(by_events)
+        for report, reads in runs:
+            per_line = 2 if timing == "sampled" else 0
+            assert len(reads) == per_line * report.lines_tokenized
+
+    @pytest.mark.skipif(not native_available(), reason="no C compiler")
+    def test_sampled_run_lines_takes_fused_path(
+        self, gen, corrupted_path, monkeypatch
+    ):
+        fleet, _ = counting_fleet(gen, "native")
+        scan_records = fleet.scanner.scan_records
+        if scan_records is None:
+            pytest.skip("native kernels did not build")
+        calls = []
+
+        def spy(blob):
+            calls.append(len(blob))
+            return scan_records(blob)
+
+        monkeypatch.setattr(fleet.scanner, "scan_records", spy)
+        report = fleet.run_lines(corrupted_path, timing="sampled")
+        assert len(calls) == 1
+        assert report.predictions
+        assert all(p.prediction_time > 0 for p in report.predictions)
+
+
 class TestParallelBytePath:
     @pytest.mark.parametrize("backend", BACKENDS[1:])
     def test_parallel_matches_serial(self, gen, window, backend):

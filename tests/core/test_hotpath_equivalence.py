@@ -1,19 +1,21 @@
 """Differential equivalence suite for the batched hot path.
 
-The batched drivers (:meth:`AarohiPredictor.process_batch`,
-:meth:`PredictorFleet.run` with its ``timing`` modes) are pure
-performance restructurings: under a constant clock they must produce
-**byte-identical** predictions and stats to the per-event
+The batched hit loop behind :meth:`PredictorFleet.run` (``timing``
+``"sampled"`` / ``"off"``) is a pure performance restructuring of the
+per-event reference (``timing="full"``): under a constant clock it must
+produce **byte-identical** predictions and stats to the per-event
 :meth:`AarohiPredictor.process` loop, for both backends, with and
 without timeout pressure, on multi-node interleaved streams with
 benign noise.
 """
 
+import itertools
+
 import pytest
 
 from repro.core import ChainSet, FailureChain, LogEvent, PredictorFleet
 from repro.core.events import Severity
-from repro.core.predictor import AarohiPredictor
+from repro.core.predictor import PredictorStats
 from repro.templates import TemplateStore
 
 ZERO_CLOCK = lambda: 0.0  # noqa: E731 — constant clock: timings byte-compare
@@ -98,38 +100,75 @@ class TestFleetBatchedEquivalence:
             p.stats.lines_tokenized for p in reference._predictors.values())
 
 
+def ticking_clock():
+    """A clock that advances one unit per read: every timed interval
+    costs exactly 1.0, so prediction times count a chain's timed steps
+    and any lost or double-counted chain cost shows up."""
+    ticks = itertools.count()
+    return lambda: float(next(ticks))
+
+
 @pytest.mark.parametrize("backend", ["matcher", "lalr"])
 @pytest.mark.parametrize("timing", ["full", "sampled", "off"])
-class TestPredictorBatchEquivalence:
-    def test_process_batch_matches_process(self, store, chains, backend, timing):
-        events = [e for e in mixed_stream(n_nodes=1)]
-        ref = AarohiPredictor.from_store(
-            chains, store, timeout=3.0, backend=backend, clock=ZERO_CLOCK)
-        expected = [p for p in map(ref.process, events) if p is not None]
+class TestRunBoundaries:
+    def test_split_equals_whole(self, store, chains, backend, timing):
+        """Splitting one stream across several run() calls keeps each
+        node's mid-chain state (engine position, accumulated chain
+        cost) intact: the split runs add up to the single run."""
+        # Three nodes with 100 s timeouts: chains complete on one node
+        # while periodic gaps time the others out mid-chain.
+        events = mixed_stream(n_nodes=3)
+        whole = PredictorFleet.from_store(
+            chains, store, timeout=100.0, backend=backend,
+            clock=ticking_clock())
+        expected = whole.run(events, timing=timing)
+        assert expected.predictions
 
-        batched = AarohiPredictor.from_store(
-            chains, store, timeout=3.0, backend=backend, clock=ZERO_CLOCK)
-        got = batched.process_batch(events, timing=timing)
-
-        assert got == expected
-        assert batched.stats.lines_seen == ref.stats.lines_seen
-        assert batched.stats.lines_tokenized == ref.stats.lines_tokenized
-        assert batched.stats.predictions == ref.stats.predictions
-
-    def test_batch_boundaries_are_invisible(self, store, chains, backend, timing):
-        """Splitting one stream across several process_batch calls keeps
-        mid-chain state (chain cost, engine position) intact."""
-        events = mixed_stream(n_nodes=1)
-        whole = AarohiPredictor.from_store(
-            chains, store, timeout=3.0, backend=backend, clock=ZERO_CLOCK)
-        expected = whole.process_batch(events, timing=timing)
-
-        split = AarohiPredictor.from_store(
-            chains, store, timeout=3.0, backend=backend, clock=ZERO_CLOCK)
+        split = PredictorFleet.from_store(
+            chains, store, timeout=100.0, backend=backend,
+            clock=ticking_clock())
         got = []
+        stats = PredictorStats()
         for start in range(0, len(events), 7):
-            got.extend(split.process_batch(events[start:start + 7], timing=timing))
-        assert got == expected
+            report = split.run(events[start:start + 7], timing=timing)
+            got.extend(report.predictions)
+            stats.add(report.stats)
+        assert got == expected.predictions
+        assert stats == expected.stats
+        assert fleet_stats(split) == fleet_stats(whole)
+        if timing != "off":
+            # The ticking clock makes every timed chain cost positive.
+            assert all(p.prediction_time > 0 for p in got)
+
+
+@pytest.mark.parametrize("timing", ["sampled", "off"])
+class TestTokenizerOnlyFleets:
+    """A fleet whose scanner has no batched ``scan_hits`` (the naive
+    scanner, or a bare tokenizer) takes the same hit loop through a
+    per-line adapter, with the same answers as the per-event path."""
+
+    def test_naive_scanner(self, store, chains, timing):
+        events = mixed_stream(n_nodes=3)
+        reference = PredictorFleet.from_store(
+            chains, store, timeout=100.0, clock=ZERO_CLOCK, optimized=False)
+        expected = run_per_event(reference, events)
+        assert expected
+        fleet = PredictorFleet.from_store(
+            chains, store, timeout=100.0, clock=ZERO_CLOCK, optimized=False)
+        assert getattr(fleet.scanner, "scan_hits", None) is None
+        assert fleet.run(events, timing=timing).predictions == expected
+        assert fleet_stats(fleet) == fleet_stats(reference)
+
+    def test_bare_tokenizer(self, store, chains, timing):
+        events = mixed_stream(n_nodes=3)
+        tokenize = store.compile_scanner(keep=chains.token_set).tokenize
+        reference = PredictorFleet(
+            chains, tokenize, timeout=100.0, clock=ZERO_CLOCK)
+        expected = run_per_event(reference, events)
+        assert expected
+        fleet = PredictorFleet(chains, tokenize, timeout=100.0, clock=ZERO_CLOCK)
+        assert fleet.run(events, timing=timing).predictions == expected
+        assert fleet_stats(fleet) == fleet_stats(reference)
 
 
 class TestTimingModes:

@@ -43,6 +43,13 @@ class TestParseTimePrefix:
     def test_parses_leading_float(self):
         assert parse_time_prefix(b"12.5 node msg") == 12.5
 
+    def test_parses_to_line_iso_stamp(self):
+        from repro.core.events import LogEvent
+
+        record = LogEvent(1234.567891, "c0-0c0s0n0", "msg").to_line().encode()
+        assert record[:4] == b"1970"  # ISO-8601, not a bare float
+        assert parse_time_prefix(record) == pytest.approx(1234.567891, abs=1e-6)
+
     def test_rejects_garbage(self):
         assert parse_time_prefix(b"\x00\xff nope") is None
         assert parse_time_prefix(b"nospacefield") is None

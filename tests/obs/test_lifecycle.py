@@ -11,9 +11,10 @@ import io
 
 import pytest
 
-from repro.core import ChainSet, FailureChain, LogEvent
+from repro.core import ChainSet, FailureChain, LogEvent, PredictorFleet
 from repro.core.events import Severity
 from repro.core.predictor import AarohiPredictor
+from repro.logsim.stream import read_byte_batch
 from repro.obs import Observability, Tracer
 from repro.obs.tracing import (
     CHAIN_STARTED,
@@ -130,30 +131,60 @@ class TestEveryTransitionTraced:
         assert counts[PREDICTION_FIRED] == 4  # all of them
 
 
+def traced_fleet(store, chains, backend, scan_backend):
+    sink = io.StringIO()
+    obs = Observability(tracer=Tracer(sink, sample=1.0, clock=lambda: 0.0))
+    fleet = PredictorFleet.from_store(
+        chains, store, timeout=100.0, backend=backend, clock=ZERO_CLOCK,
+        obs=obs, scan_backend=scan_backend)
+    return fleet, sink
+
+
+def drive_fleet(fleet, path, events, timing):
+    """Feed ``events`` through one of the fleet's batched entry points."""
+    if path == "run":
+        return fleet.run(events, timing=timing)
+    blob = "".join(e.to_line() + "\n" for e in events).encode()
+    if path == "run_buffer":
+        return fleet.run_buffer(read_byte_batch(blob), timing=timing)
+    return fleet.run_lines(blob, timing=timing)
+
+
 class TestBatchedDriversTrace:
     @pytest.mark.parametrize("backend", ["matcher", "lalr"])
-    @pytest.mark.parametrize("timing", ["full", "sampled", "off"])
-    def test_process_batch_emits_same_trace(
-        self, store, chains, backend, timing
+    @pytest.mark.parametrize("path, scan_backend, timing", [
+        ("run", "str", "full"),
+        ("run", "str", "sampled"),
+        ("run", "str", "off"),
+        ("run_buffer", "bytes", "sampled"),
+        ("run_buffer", "bytes", "off"),
+        ("run_lines", "native", "sampled"),
+        ("run_lines", "native", "off"),
+    ])
+    def test_same_trace_as_process(
+        self, store, chains, backend, path, scan_backend, timing
     ):
+        """Every fleet driver — the per-event reference and each hit
+        source of the hit loop — traces a chain's lifecycle exactly as
+        per-event :meth:`AarohiPredictor.process` does."""
         per_event, sink_ref = traced_predictor(store, chains, backend)
         drive_full_lifecycle(per_event)
         expected = read_trace(io.StringIO(sink_ref.getvalue()))
 
-        batched, sink = traced_predictor(store, chains, backend)
-        events = [
+        fleet, sink = traced_fleet(store, chains, backend, scan_backend)
+        drive_fleet(fleet, path, [
             LogEvent(0.0, "node-7", "alpha fault a"),
             LogEvent(1.0, "node-7", "beta warn b"),
             LogEvent(1001.0, "node-7", "beta warn again"),
             LogEvent(2000.0, "node-7", "alpha fault c"),
-        ]
-        batched.process_batch(events, timing=timing)
-        batched.reset()
-        batched.process_batch([
+        ], timing)
+        fleet.predictor_for("node-7").reset()
+        report = drive_fleet(fleet, path, [
             LogEvent(3000.0, "node-7", "alpha fault d"),
             LogEvent(3001.0, "node-7", "beta warn e"),
             LogEvent(3002.0, "node-7", "gamma err f"),
-        ], timing=timing)
+        ], timing)
+        assert len(report.predictions) == 1
         got = read_trace(io.StringIO(sink.getvalue()))
         strip = lambda rs: [  # noqa: E731
             {k: v for k, v in r.items() if k != "prediction_time"}

@@ -104,6 +104,29 @@ class TestJsonOutput:
         scanner = payload["scanner"]
         assert scanner["backend"] in ("str", "bytes", "numpy")
         assert scanner["translate_evictions"] >= 0
+        assert all(p["prediction_time"] > 0 for p in payload["predictions"])
+
+    @pytest.mark.parametrize("scan_backend", ["bytes", "native"])
+    def test_predict_json_byte_backends_time_predictions(
+        self, tmp_path, capsys, scan_backend
+    ):
+        log = tmp_path / "w.log"
+        main([
+            "generate", "--system", "HPC3", "--seed", "5",
+            "--duration", "1800", "--nodes", "12", "--failures", "4",
+            "--out", str(log),
+        ])
+        capsys.readouterr()
+        rc = main([
+            "predict", "--system", "HPC3", "--seed", "5",
+            "--log", str(log), "--json", "--scan-backend", scan_backend,
+        ])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["predictions"]
+        # Every prediction carries its measured chain-check time, as on
+        # the str backend.
+        assert all(p["prediction_time"] > 0 for p in payload["predictions"])
 
     def test_pipeline_json(self, capsys):
         rc = main([
