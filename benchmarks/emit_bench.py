@@ -8,7 +8,7 @@ Measures sustained events/s on the discard-heavy realistic stream for
   flattened whole-stream scan driver over decoded events, and
 * the **byte backends** — ``fleet.run_buffer(batch, timing="off")``
   over a raw :class:`~repro.logsim.stream.ByteRecordBatch` for the
-  ``bytes``, ``numpy`` and ``native`` kernels (rejected lines never
+  ``bytes`` and ``native`` kernels (rejected lines never
   decoded; ``native`` is the compiled C walk), and
 * the **fused native path** — ``fleet.run_lines(blob, timing="off")``
   with a native scanner: record split, header check and scan in one C
@@ -28,7 +28,7 @@ Run standalone::
     PYTHONPATH=src python benchmarks/emit_bench.py --backend bytes  # one backend
     PYTHONPATH=src python benchmarks/emit_bench.py --smoke  # CI regression gate
 
-``--backend str|bytes|numpy|native|all`` restricts which scan kernels
+``--backend str|bytes|native|all`` restricts which scan kernels
 the full run measures (default ``all``; ``str`` is always measured — it
 is the baseline every ratio is computed against).
 
@@ -91,7 +91,7 @@ SMOKE_SLACK = 0.3
 # LogEvent.from_line loop on a clean stream.
 DECODER_FLOOR = 0.97
 
-SCAN_BACKENDS = ("str", "bytes", "numpy", "native")
+SCAN_BACKENDS = ("str", "bytes", "native")
 
 
 def discard_heavy_stream(gen, n_events: int = 20_000):
@@ -110,11 +110,11 @@ def measure_hotpath(
     gen,
     n_events: int = 20_000,
     rounds: int = 5,
-    backends: tuple = ("bytes", "numpy"),
+    backends: tuple = ("bytes",),
 ) -> dict:
     """Best-of-``rounds`` events/s for every scan path.
 
-    Rounds are interleaved (per-event, str batched, bytes, numpy, …) so
+    Rounds are interleaved (per-event, str batched, bytes, native, …) so
     all paths sample the same machine conditions; each round uses a
     fresh fleet (cold memo, cold chain state).  The byte backends are
     driven through :meth:`PredictorFleet.run_buffer` over a pre-built
@@ -464,7 +464,7 @@ def main(argv=None) -> int:
     from repro.logsim import ClusterLogGenerator, system_by_name
 
     if args.backend == "all":
-        backends = ("bytes", "numpy", "native")
+        backends = ("bytes", "native")
     elif args.backend == "str":
         backends = ()
     else:

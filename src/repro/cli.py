@@ -41,6 +41,7 @@ import time
 from statistics import mean
 from typing import List, Optional, Sequence
 
+from .codegen import SCAN_BACKENDS
 from .core import PredictorFleet, build_rules, pair_predictions
 from .logsim import (
     ERROR_POLICIES,
@@ -1049,12 +1050,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", required=True)
     p.add_argument("--backend", default="matcher", choices=["matcher", "lalr"])
     p.add_argument("--scan-backend", default="str",
-                   choices=["str", "bytes", "numpy", "native"],
+                   choices=list(SCAN_BACKENDS),
                    help="scan kernel family: str (decoded text), bytes "
-                        "(mmap byte pipeline), numpy (vectorized sweep; "
-                        "falls back to bytes without numpy), native "
-                        "(compiled C kernel; falls back to bytes without "
-                        "a C compiler)")
+                        "(mmap byte pipeline), native (compiled C kernel; "
+                        "falls back to bytes without a C compiler)")
     p.add_argument("--json", action="store_true",
                    help="emit machine-readable JSON instead of a table")
     p.add_argument("--watch", action="store_true",
@@ -1125,7 +1124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", default="matcher",
                    choices=["matcher", "lalr"])
     p.add_argument("--scan-backend", default="str",
-                   choices=["str", "bytes", "numpy", "native"],
+                   choices=list(SCAN_BACKENDS),
                    help="scan kernel family (see predict --scan-backend)")
     p.add_argument("--truth", default=None, metavar="TRUTH.jsonl",
                    help="ground-truth failures (enables /quality scoring)")
@@ -1186,7 +1185,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="unacked chunks per shard before ingest stalls "
                         "(backpressure; default 32)")
     p.add_argument("--scan-backend", default="str",
-                   choices=["str", "bytes", "numpy", "native"],
+                   choices=list(SCAN_BACKENDS),
                    help="scan kernel family (see predict --scan-backend)")
     p.add_argument("--out", default=None, metavar="PRED.jsonl",
                    help="write the session's predictions here on exit")

@@ -243,7 +243,7 @@ class FleetDaemon:
         self.throttle_s = throttle_s
         self.timeout = timeout if timeout is not None else bundle.timeout
         self.obs = obs if obs is not None else Observability()
-        # Parent-resolved backend (numpy/native degrade here, once) so
+        # Parent-resolved backend (native degrades here, once) so
         # every worker generation compiles the same kernel family.
         self.scan_backend = resolve_backend(scan_backend)
         self._bundle_dict = bundle.to_dict()

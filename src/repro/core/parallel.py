@@ -217,7 +217,7 @@ class ParallelFleet:
         self.obs = obs
         self.timing = timing
         self.on_error = on_error
-        # Resolved in the parent (numpy-absent → "bytes") so the cache
+        # Resolved in the parent (compiler-absent → "bytes") so the cache
         # digest, the shipped artifact, and every worker kernel agree.
         self.scan_backend = resolve_backend(scan_backend)
         # Fleet-wide cumulative stats, merged back from worker diffs via
@@ -283,7 +283,7 @@ class ParallelFleet:
         """Shard serialized log lines across workers without decoding
         them in the parent.
 
-        Routing reads only the header's node field (one ``split``), so
+        Routing reads only the header's node field (:func:`route_key`), so
         the parent stays out of the decode business entirely — workers
         decode tolerantly under the fleet's ``on_error`` policy, exactly
         as :meth:`run` chunks do.  Lines whose header doesn't split
@@ -296,9 +296,7 @@ class ParallelFleet:
         shards: List[List[str]] = [[] for _ in range(self.n_workers)]
         n_shards = self.n_workers
         for line in lines:
-            parts = line.split(" ", 2)
-            key = parts[1] if len(parts) == 3 else line
-            shards[shard_of(key, n_shards)].append(line)
+            shards[shard_of(route_key(line), n_shards)].append(line)
         return self._run_shards(
             shards,
             n_events=sum(len(s) for s in shards),

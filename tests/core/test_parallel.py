@@ -3,7 +3,13 @@
 import pytest
 
 from repro.core import PredictorFleet, pair_predictions
-from repro.core.parallel import ParallelFleet, partition_events, shard_of
+from repro.core.events import LogEvent
+from repro.core.parallel import (
+    ParallelFleet,
+    partition_events,
+    route_key,
+    shard_of,
+)
 from repro.logsim import ClusterLogGenerator, HPC3
 from repro.persistence import PredictorBundle
 
@@ -33,6 +39,16 @@ class TestSharding:
     def test_shard_in_range(self):
         for i in range(50):
             assert 0 <= shard_of(f"c{i}-0c0s0n0", 7) < 7
+
+    def test_route_key(self):
+        line = LogEvent(12.5, "c0-0c1s2n3", "link failed x y").to_line()
+        assert route_key(line) == "c0-0c1s2n3"
+        # Truncated (inside the stamp, or after the node field),
+        # garbled or empty: the whole line is the key, so it always
+        # lands on — and is quarantined by — one worker.
+        truncated = " ".join(line.split(" ")[:2])
+        for bad in (line[:20], truncated, "garbled\x00line", "\ufffd", ""):
+            assert route_key(bad) == bad
 
     def test_partition_preserves_order_and_coverage(self, window):
         shards = partition_events(window.events, 4)

@@ -5,17 +5,21 @@ The differential answers (token ids, spans, funnel counts) live in
 the ``native`` backend: the compiler probe and its two degradation
 levels (no compiler at resolve time, failed compile at build time),
 the shared-object artifact cache keyed on source + compiler identity,
-the single-flight compile election, and the fused ``scan_records``
-entry point's record accounting.
+the single-flight compile election, the fused ``scan_records``
+entry point's record accounting, and the differential between its C
+header check and the Python record parser.
 """
 
 import threading
+from datetime import datetime, timezone
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import native, persistence
 from repro.codegen import resolve_backend
-from repro.core.events import LogEvent
+from repro.core.events import LogEvent, parse_record_bytes
 from repro.logsim import HPC1, ClusterLogGenerator
 from repro.templates import TemplateStore
 from repro.templates.masking import MASK
@@ -236,6 +240,74 @@ class TestScanRecords:
         n_records, n_ok, items, _ = s.scan_records(blob)
         assert n_records == 1
         assert [it[2] for it in items] == [native.SUSPECT_RECORD]
+
+
+# Mutations of a canonical to_line stamp, YYYY-MM-DDTHH:MM:SS.ffffff+00:00
+# (32 chars): each edit swaps one field for an edge or out-of-range
+# value, or overwrites / deletes one byte (digits, separators, a
+# space, a non-ASCII byte).  Edits apply in order, so later offsets
+# see earlier length changes.
+_FIELD_EDGES = {
+    (0, 4): ["0000", "0004", "1900", "2000", "2023", "2024", "2100", "999", "20240"],
+    (5, 7): ["00", "01", "02", "12", "13", "2", "012"],
+    (8, 10): ["00", "01", "28", "29", "30", "31", "32", "9"],
+    (11, 13): ["00", "23", "24", "7"],
+    (14, 16): ["00", "59", "60"],
+    (17, 19): ["00", "59", "60", "61"],
+    (20, 26): ["000000", "999999", "000", "0000000", ""],
+    (26, 32): ["+00:00", "-00:00", "+01:00", "-05:30", "Z", "+0000", "",
+               "+00:00:00", "+24:00"],
+}
+_EDITS = st.lists(
+    st.sampled_from(sorted(_FIELD_EDGES)).flatmap(
+        lambda span: st.tuples(
+            st.just(span), st.sampled_from(_FIELD_EDGES[span]).map(str.encode)))
+    | st.tuples(
+        st.integers(0, 31).map(lambda i: (i, i + 1)),
+        st.sampled_from([bytes([c]) for c in b"0123456789-:.+TZ \xff"] + [b""])),
+    max_size=3)
+_STAMPS = st.datetimes(
+    min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59),
+    timezones=st.just(timezone.utc),
+).map(lambda d: d.isoformat(timespec="microseconds").encode())
+
+
+class TestHeaderCheckDifferential:
+    """The fused path trusts the C header check: a record it counts ok
+    is parsed once more by :func:`parse_record_bytes` with no handler
+    (``PredictorFleet._run_fused``), so C acceptance must imply the
+    Python parse succeeds and splits out the same node and message."""
+
+    NODE = b"c0-0c1s2n3"
+    MESSAGE = b"link failed x"
+
+    @pytest.fixture(scope="class")
+    def scanner(self):
+        scanner = small_store().compile_scanner(cache=False, backend="native")
+        if scanner.backend != "native":
+            pytest.skip("native kernels did not build")
+        return scanner
+
+    @settings(max_examples=400, deadline=None)
+    @given(stamp=_STAMPS, edits=_EDITS)
+    @example(stamp=b"2024-02-29T23:59:59.999999+00:00", edits=[])
+    @example(stamp=b"2000-02-29T00:00:00.000000+00:00", edits=[])
+    @example(stamp=b"1900-02-28T00:00:00.000000+00:00", edits=[((8, 10), b"29")])
+    @example(stamp=b"0001-01-01T00:00:00.000000+00:00", edits=[])
+    @example(stamp=b"9999-12-31T23:59:59.999999+00:00", edits=[])
+    def test_c_accepted_records_parse_identically(self, scanner, stamp, edits):
+        for (lo, hi), replacement in edits:
+            stamp = stamp[:lo] + replacement + stamp[hi:]
+        record = stamp + b" " + self.NODE + b" " + self.MESSAGE
+        n_records, n_ok, items, _ = scanner.scan_records(record + b"\n")
+        assert n_records == 1
+        if n_ok:
+            [(_, _, token)] = items
+            assert token >= 0  # counted ok and scanned, not a suspect
+            _, node, message = parse_record_bytes(record)
+            assert (node, message) == (self.NODE, self.MESSAGE)
+        else:
+            assert [it[2] for it in items] == [native.SUSPECT_RECORD]
 
 
 class TestFallbackObservability:

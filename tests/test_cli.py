@@ -102,7 +102,7 @@ class TestJsonOutput:
         assert stats["lines_seen"] == len(log.read_text().splitlines())
         assert 0.0 <= stats["fc_related_fraction"] <= 1.0
         scanner = payload["scanner"]
-        assert scanner["backend"] in ("str", "bytes", "numpy")
+        assert scanner["backend"] == "str"  # the --scan-backend default
         assert scanner["translate_evictions"] >= 0
         assert all(p["prediction_time"] > 0 for p in payload["predictions"])
 
