@@ -5,7 +5,7 @@ deployment shape the paper's HSS aggregation point actually has: a
 long-running service that *receives* a cluster's log traffic.  It
 accepts newline-delimited records over TCP and unix-socket connections
 (one syslog forwarder per connection), tails rotating files, routes
-every line to a worker shard by consistent node hash, and keeps
+every record to a worker shard by consistent node hash, and keeps
 predicting across worker death.
 
 The design deliberately reuses the batch machinery rather than
@@ -14,15 +14,19 @@ that a TCP-streamed run produces predictions identical to the
 equivalent :class:`~repro.core.parallel.ParallelFleet` batch run, and
 that identity only holds because the pieces *are* the same:
 
-* **routing** — :func:`~repro.core.parallel.route_key` +
-  :func:`~repro.core.parallel.shard_of`, the exact pair
-  ``ParallelFleet.run_lines`` uses;
+* **routing** — the parent never decodes a record.  Each ``recv`` is
+  split once and :func:`~repro.core.parallel.record_shard` routes every
+  raw record on its node field through the memoized
+  :func:`~repro.core.parallel.shard_of`, landing it where
+  ``route_key`` + ``shard_of`` — the pair ``ParallelFleet.run_lines``
+  uses — put its decoded line.  One ``recv`` takes the daemon lock
+  once, and a dispatched chunk is one newline-joined byte blob;
 * **workers** — each shard process calls
   :func:`repro.core.parallel._init_worker` /
-  :func:`repro.core.parallel._run_chunk` verbatim: tolerant
-  ``decode_lines`` under the fleet's ``on_error`` policy, per-chunk
-  ``IngestStats`` + shard-labeled obs registry deltas shipped with
-  every result;
+  :func:`repro.core.parallel._run_chunk` verbatim: the fleet's own
+  ``run_lines`` under its ``on_error`` policy (the fused native kernel
+  when the backend is ``native``), per-chunk ``IngestStats`` +
+  shard-labeled obs registry deltas shipped with every result;
 * **reorder repair** — an optional per-connection
   :class:`~repro.logsim.stream.SortBuffer` over the line timestamps
   (each forwarder is near-sorted on its own; the merged stream is
@@ -93,12 +97,44 @@ from .predictor import PredictorStats
 from . import parallel as _par
 
 
-class _TimedLine(NamedTuple):
-    """Timestamp carrier for replaying raw lines through a SortBuffer
+class _TimedRecord(NamedTuple):
+    """Timestamp carrier for replaying raw records through a SortBuffer
     (the buffer only ever reads ``.time``)."""
 
     time: float
-    line: str
+    record: bytes
+
+
+class _RecordSplitter:
+    """Newline framing across reads.
+
+    Each read is split once.  The fragments of a record still waiting
+    for its newline are kept apart and joined once, when it arrives, so
+    a long record costs time linear in its length; re-splitting an
+    accumulated buffer on every read made it quadratic."""
+
+    __slots__ = ("_tail",)
+
+    def __init__(self) -> None:
+        self._tail: List[bytes] = []
+
+    def feed(self, data: bytes) -> List[bytes]:
+        """The records ``data`` completes, in order."""
+        records = data.split(b"\n")
+        if len(records) == 1:
+            self._tail.append(data)
+            return []
+        if self._tail:
+            self._tail.append(records[0])
+            records[0] = b"".join(self._tail)
+        self._tail = [records.pop()]
+        return records
+
+    def rest(self) -> bytes:
+        """Take the unterminated last record (possibly empty)."""
+        rest = b"".join(self._tail)
+        self._tail = []
+        return rest
 
 
 def _daemon_worker_main(
@@ -167,7 +203,7 @@ class _Shard:
         self.generation = 0
         # seq → payload, insertion (== sequence) ordered; chunks leave
         # only on ack, so this is the at-least-once replay buffer.
-        self.pending: Dict[int, object] = {}
+        self.pending: Dict[int, bytes] = {}
         self.queued: set = set()  # seqs currently in the work queue
         self.next_seq = 0
         self.up = False
@@ -230,6 +266,14 @@ class FleetDaemon:
         if on_error not in ERROR_POLICIES:
             raise ValueError(
                 f"on_error must be one of {ERROR_POLICIES}, got {on_error!r}")
+        if on_error == "strict":
+            # A strict worker dies on the first bad record; its
+            # replacement replays the same chunk and dies again, so the
+            # chunk never drains and the valid lines beside it are lost.
+            raise ValueError(
+                "on_error='strict' cannot serve a live stream: one "
+                "malformed record would kill its shard worker on every "
+                "replay; use 'quarantine' or 'warn'")
         if reorder_horizon < 0:
             raise ValueError("reorder horizon must be non-negative")
         self.n_shards = n_shards
@@ -257,7 +301,7 @@ class FleetDaemon:
 
         self._lock = threading.RLock()
         self._shards = [_Shard(i) for i in range(n_shards)]
-        self._buffers: List[List[str]] = [[] for _ in range(n_shards)]
+        self._buffers: List[List[bytes]] = [[] for _ in range(n_shards)]
         self.predictions: List[Prediction] = []
         self.stats = PredictorStats()
         self.ingest = IngestStats()
@@ -348,22 +392,61 @@ class FleetDaemon:
     # -- ingest ---------------------------------------------------------
     def submit(self, line: str) -> None:
         """Route one serialized line to its shard (the programmatic
-        ingest path; the socket and tail sources all land here).
-        Blocks while the target shard is over its backpressure
-        high-water mark."""
+        ingest path): the line is encoded and split at newlines like a
+        socket read, then takes the same byte path.  Blocks while the
+        target shard is over its backpressure high-water mark."""
+        self._ingest(line.encode("utf-8", "replace").split(b"\n"), None)
+
+    def _ingest(self, records: List[bytes], sort: Optional[SortBuffer]) -> None:
+        """Route one read's newline-split records into their shard
+        buffers under one lock acquisition, dispatching each chunk as
+        it fills.
+
+        Each record loses one trailing ``\\r``; empty records are
+        dropped.  A record bound for a shard at its high-water mark
+        stalls the ingest thread (counted once per call) until that
+        worker acks, then the read resumes from that record.  With a
+        reorder buffer each record passes through it first; a record
+        whose timestamp does not parse bypasses it (it can only be
+        quarantined, so its relative order is immaterial)."""
+        if sort is not None:
+            ordered: List[bytes] = []
+            for raw in records:
+                t = parse_time_prefix(raw)
+                if t is None:
+                    ordered.append(raw)
+                else:
+                    ordered.extend(
+                        timed.record
+                        for timed in sort.push(_TimedRecord(t, raw)))
+            records = ordered
+        record_shard = _par.record_shard
+        n_shards = self.n_shards
+        chunk_lines = self.chunk_lines
+        shards, buffers = self._shards, self._buffers
+        i, end = 0, len(records)
         stalled = False
-        shard_idx = _par.shard_of(_par.route_key(line), self.n_shards)
         while True:
             with self._lock:
                 if self._stopping:
                     return
-                shard = self._shards[shard_idx]
-                if len(shard.pending) < self.high_water:
-                    buf = self._buffers[shard_idx]
-                    buf.append(line)
-                    self._lines_received += 1
-                    if len(buf) >= self.chunk_lines:
-                        self._dispatch(shard_idx)
+                received = 0
+                while i < end:
+                    raw = records[i]
+                    if raw[-1:] == b"\r":
+                        raw = raw[:-1]
+                    if raw:
+                        shard_idx = record_shard(raw, n_shards)
+                        if len(shards[shard_idx].pending) >= self.high_water:
+                            break
+                        buf = buffers[shard_idx]
+                        buf.append(raw)
+                        received += 1
+                        if len(buf) >= chunk_lines:
+                            self._dispatch(shard_idx)
+                    i += 1
+                self._lines_received += received
+                if i == end:
                     break
                 if not stalled:
                     stalled = True
@@ -380,17 +463,12 @@ class FleetDaemon:
                     self._dispatch(shard_idx)
 
     def _dispatch(self, shard_idx: int) -> None:
-        """Turn the shard's line buffer into a pending chunk; caller
-        holds the lock."""
+        """Turn the shard's record buffer into a pending chunk (one
+        newline-joined blob, exactly as ParallelFleet ships them);
+        caller holds the lock."""
         shard = self._shards[shard_idx]
-        chunk = self._buffers[shard_idx]
+        payload = b"\n".join(self._buffers[shard_idx])
         self._buffers[shard_idx] = []
-        if self.scan_backend != "str":
-            # Byte-backend payload: one newline-joined blob per chunk,
-            # exactly as ParallelFleet ships them.
-            payload: object = "\n".join(chunk).encode("utf-8", "replace")
-        else:
-            payload = chunk
         seq = shard.next_seq
         shard.next_seq += 1
         shard.pending[seq] = payload
@@ -672,20 +750,19 @@ class FleetDaemon:
     def _serve_connection(self, conn: socket.socket) -> None:
         """Read newline-delimited records until EOF.
 
-        Bytes decode with ``errors="replace"`` — the same treatment
-        tolerant file ingest gives invalid UTF-8 — so mojibake reaches
-        the workers as quarantinable text instead of killing the
-        connection.  With a positive ``reorder_horizon`` each
-        connection owns a :class:`SortBuffer`: one forwarder's stream
-        is near-sorted on its own clock, which is exactly the bounded
-        displacement the buffer repairs.  Records whose timestamp does
-        not parse bypass the buffer (they can only be quarantined, so
-        their relative order is immaterial)."""
+        Each ``recv`` is split once at newline boundaries and its
+        complete records are routed as raw bytes (:meth:`_ingest`);
+        invalid UTF-8 reaches the workers untouched, where tolerant
+        ingest quarantines it instead of killing the connection.  With a
+        positive ``reorder_horizon`` each connection owns a
+        :class:`SortBuffer`: one forwarder's stream is near-sorted on
+        its own clock, which is exactly the bounded displacement the
+        buffer repairs."""
         conn.settimeout(0.5)
         stats = IngestStats()
         sort = (SortBuffer(self.reorder_horizon, stats)
                 if self.reorder_horizon > 0 else None)
-        buf = b""
+        splitter = _RecordSplitter()
         try:
             while True:
                 with self._lock:
@@ -699,18 +776,13 @@ class FleetDaemon:
                     break
                 if not data:
                     break
-                buf += data
-                *complete, buf = buf.split(b"\n")
-                for raw in complete:
-                    self._ingest_record(raw, sort)
+                self._ingest(splitter.feed(data), sort)
         finally:
-            if buf:
-                # Trailing unterminated record: ship it (matching the
-                # file reader, whose final line needs no newline).
-                self._ingest_record(buf, sort)
+            # Trailing unterminated record: ship it (matching the file
+            # reader, whose final line needs no newline).
+            self._ingest([splitter.rest()], sort)
             if sort is not None:
-                for timed in sort.flush():
-                    self.submit(timed.line)
+                self._ingest([timed.record for timed in sort.flush()], None)
             try:
                 conn.close()
             except OSError:
@@ -723,25 +795,6 @@ class FleetDaemon:
                 self.ingest.reordered += stats.reordered
                 self.ingest.late += stats.late
             self._publish_metrics()
-
-    def _ingest_record(self, raw: bytes, sort: Optional[SortBuffer]) -> None:
-        if raw.endswith(b"\r"):
-            raw = raw[:-1]
-        if not raw:
-            return
-        line = raw.decode("utf-8", "replace")
-        if sort is None:
-            self.submit(line)
-            return
-        # An unparseable header is routed around the reorder buffer: such
-        # a line can only be quarantined worker-side, so its relative
-        # order is immaterial.
-        t = parse_time_prefix(raw)
-        if t is None:
-            self.submit(line)
-            return
-        for timed in sort.push(_TimedLine(t, line)):
-            self.submit(timed.line)
 
     def tail_file(self, path, poll: float = 0.1) -> None:
         """Follow ``path`` like ``tail -F``: read appended lines, and
@@ -759,15 +812,7 @@ class FleetDaemon:
     def _tail_loop(self, path: str, poll: float) -> None:
         fh = None
         inode = None
-        buf = b""
-
-        def feed(data: bytes) -> None:
-            nonlocal buf
-            buf += data
-            *complete, buf = buf.split(b"\n")
-            for raw in complete:
-                self._ingest_record(raw, None)
-
+        splitter = _RecordSplitter()
         try:
             while True:
                 with self._lock:
@@ -785,7 +830,7 @@ class FleetDaemon:
                         continue
                 data = fh.read()
                 if data:
-                    feed(data)
+                    self._ingest(splitter.feed(data), None)
                     continue
                 rotated = False
                 try:
@@ -797,9 +842,7 @@ class FleetDaemon:
                 except FileNotFoundError:
                     rotated = True
                 if rotated:
-                    if buf:
-                        self._ingest_record(buf, None)
-                        buf = b""
+                    self._ingest([splitter.rest()], None)
                     fh.close()
                     fh = None
                     with self._lock:
@@ -809,12 +852,9 @@ class FleetDaemon:
                 _time.sleep(poll)
         finally:
             if fh is not None:
-                data = fh.read()
-                if data:
-                    feed(data)
+                self._ingest(splitter.feed(fh.read()), None)
                 fh.close()
-            if buf:
-                self._ingest_record(buf, None)
+            self._ingest([splitter.rest()], None)
 
     # -- drain / stop ---------------------------------------------------
     def pending_chunks(self) -> int:

@@ -20,25 +20,31 @@ shared pool fed one giant ``map`` payload per shard:
   exactly one worker, so mid-chain configurations survive both chunk
   boundaries and repeated :meth:`ParallelFleet.run` calls.
 
+Routing hashes the node field once per node, not once per line
+(:func:`shard_of` is memoized), and :func:`record_shard` routes a raw
+byte record on that field without decoding it.
+
 The worker initializer rebuilds chain tables once per process from a
 :class:`~repro.persistence.PredictorBundle` dict, and receives the
 parent's **prebuilt scanner tables** (the compiled-artifact wire format
 of :func:`~repro.persistence.scanner_artifact`) alongside it — workers
 never rerun the NFA→DFA→Hopcroft pipeline, they reconstruct the DFA
-from its serialized arrays.  Each chunk reaches the worker's fleet
-through :func:`_run_chunk` (shared with :mod:`repro.core.daemon`), so
-it takes one of the fleet's two drivers: ``timing="full"`` is the
-per-event reference, while ``"sampled"`` and the default ``"off"``
-feed the fleet's one hit loop — from ``run_buffer`` for byte payloads,
-from ``run`` for decoded lines.  With ``"off"`` no clock is read at
-all.
+from its serialized arrays.  Every chunk is one newline-joined byte
+blob, whatever the backend, and :func:`_run_chunk` (shared with
+:mod:`repro.core.daemon`) hands it to the worker fleet's
+:meth:`~repro.core.fleet.PredictorFleet.run_lines`, whose own dispatch
+picks the hit source: the fused native kernel for a native scanner,
+``run_buffer`` for the other byte backends, decoded events for ``str``
+and for ``timing="full"``.  With the default ``"off"`` no clock is
+read at all.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing as mp
 import time as _time
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from ..core.events import LogEvent, Prediction
 from ..obs import (
@@ -62,23 +68,63 @@ _WORKER_LAST_SNAP: Optional[dict] = None
 _WORKER_ON_ERROR = "quarantine"
 
 
-def shard_of(node: str, n_shards: int) -> int:
-    """Stable node→shard assignment (cross-platform deterministic)."""
+# Routing memo: the FNV hash runs once per node, not once per line.
+# Bounded twice over, so hostile input cannot grow it: at most
+# _ROUTE_MEMO_SIZE entries (least recently used evicted first), and only
+# keys no longer than a DNS name.  A longer field, or the whole-line key
+# of a malformed record, is hashed every time instead, over at most its
+# first _ROUTE_HASH_MAX bytes: hashing a whole 32 MB garbage record in
+# Python held the daemon's ingest lock for 4 s on a 2-vCPU host.
+_ROUTE_MEMO_SIZE = 1 << 16
+_ROUTE_KEY_MAX = 253
+_ROUTE_HASH_MAX = 4096
+
+
+def _hash_shard(key: Union[str, bytes], n_shards: int) -> int:
+    """FNV-1a of the key's UTF-8 text (its first ``_ROUTE_HASH_MAX``
+    bytes), modulo the shard count.  Raw bytes hash as their
+    replace-decoded text, so a record routes the same whether it
+    arrives as bytes or was decoded first."""
+    if isinstance(key, bytes):
+        key = key.decode("utf-8", "replace")
     h = 2166136261
-    for ch in node.encode():
+    for ch in key.encode()[:_ROUTE_HASH_MAX]:
         h = ((h ^ ch) * 16777619) & 0xFFFFFFFF
     return h % n_shards
+
+
+_memo_shard = functools.lru_cache(maxsize=_ROUTE_MEMO_SIZE)(_hash_shard)
+
+
+def shard_of(node: str, n_shards: int) -> int:
+    """Stable node→shard assignment (cross-platform deterministic)."""
+    if len(node) > _ROUTE_KEY_MAX:
+        return _hash_shard(node, n_shards)
+    return _memo_shard(node, n_shards)
 
 
 def route_key(line: str) -> str:
     """The shard-routing key of one serialized line: the header's node
     field when the line splits, else the whole line (so a malformed
     line always lands on — and is quarantined by — the same worker).
-    Shared by :meth:`ParallelFleet.run_lines` and the live daemon
-    (:mod:`repro.core.daemon`), which must route identically for
-    stream-vs-batch prediction equivalence to hold."""
+    Shared by :meth:`ParallelFleet.run_lines` and, in its byte form
+    (:func:`record_shard`), the live daemon (:mod:`repro.core.daemon`):
+    both must route identically for stream-vs-batch prediction
+    equivalence to hold."""
     parts = line.split(" ", 2)
     return parts[1] if len(parts) == 3 else line
+
+
+def record_shard(raw: bytes, n_shards: int) -> int:
+    """The shard of one raw record (newline and ``\\r`` already
+    stripped), routed on its node field without decoding it.  Equals
+    ``shard_of(route_key(raw.decode("utf-8", "replace")), n_shards)``
+    for any bytes, invalid UTF-8 included: ``0x20`` never occurs inside
+    a multi-byte sequence, so both split at the same spaces."""
+    parts = raw.split(b" ", 2)
+    if len(parts) == 3 and len(parts[1]) <= _ROUTE_KEY_MAX:
+        return _memo_shard(parts[1], n_shards)
+    return _hash_shard(parts[1] if len(parts) == 3 else raw, n_shards)
 
 
 def partition_events(
@@ -89,6 +135,18 @@ def partition_events(
     for event in events:
         shards[shard_of(event.node, n_shards)].append(event)
     return shards
+
+
+class _ShardObservability(Observability):
+    """A worker's process-local obs facade, minus the ingest funnel.
+
+    Every chunk's :class:`~repro.logsim.stream.IngestStats` ships back
+    with its result, and the parent folds it into its own registry and
+    ``obs.ingest`` (the ``/healthz`` source) exactly once.  Counting it
+    here as well would put every line in ``aarohi_ingest_*`` twice."""
+
+    def record_ingest(self, delta) -> None:
+        pass
 
 
 def _init_worker(
@@ -117,7 +175,7 @@ def _init_worker(
         # clock: its cumulative stage counters ride the same delta path,
         # so the parent reassembles per-shard stage breakdowns from its
         # merged registry.
-        _WORKER_OBS = Observability(
+        _WORKER_OBS = _ShardObservability(
             labels={"shard": str(shard)},
             spans=SpanClock(spans_sample) if spans_sample > 0.0 else None,
         )
@@ -135,38 +193,21 @@ def _init_worker(
 
 
 def _run_chunk(
-    lines, trace: Optional[tuple] = None
+    payload: bytes, trace: Optional[tuple] = None
 ) -> Tuple[List[tuple], PredictorStats, Optional[dict], "IngestStats",
            Optional[tuple]]:
-    """Process one chunk; ``trace`` is the parent's trace context
-    ``(run, shard, chunk)``, echoed back verbatim so the parent can
-    correlate results with submissions (the flight recorder's
-    ``chunk_done`` notes)."""
+    """Process one chunk (a newline-joined byte blob); ``trace`` is the
+    parent's trace context ``(run, shard, chunk)``, echoed back verbatim
+    so the parent can correlate results with submissions (the flight
+    recorder's ``chunk_done`` notes)."""
     global _WORKER_LAST_SNAP
     assert _WORKER_FLEET is not None, "worker not initialized"
-    from ..logsim.stream import IngestStats, decode_lines, read_record_batch
-
     # Tolerant decode: a single malformed line in a chunk must not take
     # the whole worker (and with it the shard's predictor state) down.
     # The per-chunk funnel ships back with the result and merges into
     # the parent's cumulative ingest counters.
-    ingest = IngestStats()
-    if isinstance(lines, bytes):
-        # Byte-backend payload: one newline-joined blob per chunk (one
-        # pickled object instead of a list of strings), split and
-        # header-validated worker-side, records never decoded unless
-        # they match.  Per-line timing needs per-event calls, so
-        # timing="full" decodes the batch and takes the event path.
-        batch = read_record_batch(
-            lines, on_error=_WORKER_ON_ERROR, stats=ingest)
-        if _WORKER_TIMING == "full":
-            report = _WORKER_FLEET.run(batch.decode_events(), timing="full")
-        else:
-            report = _WORKER_FLEET.run_buffer(batch, timing=_WORKER_TIMING)
-    else:
-        events = list(
-            decode_lines(lines, on_error=_WORKER_ON_ERROR, stats=ingest))
-        report = _WORKER_FLEET.run(events, timing=_WORKER_TIMING)
+    report = _WORKER_FLEET.run_lines(
+        payload, on_error=_WORKER_ON_ERROR, timing=_WORKER_TIMING)
     predictions = [
         (p.node, p.chain_id, p.flagged_at, p.prediction_time,
          p.matched_tokens)
@@ -179,7 +220,7 @@ def _run_chunk(
         # parent-side merge never double-counts earlier chunks.
         obs_delta = diff_snapshots(snap, _WORKER_LAST_SNAP)
         _WORKER_LAST_SNAP = snap
-    return predictions, report.stats, obs_delta, ingest, trace
+    return predictions, report.stats, obs_delta, report.ingest, trace
 
 
 class ParallelFleet:
@@ -283,15 +324,15 @@ class ParallelFleet:
         """Shard serialized log lines across workers without decoding
         them in the parent.
 
-        Routing reads only the header's node field (:func:`route_key`), so
-        the parent stays out of the decode business entirely — workers
-        decode tolerantly under the fleet's ``on_error`` policy, exactly
-        as :meth:`run` chunks do.  Lines whose header doesn't split
-        (truncated, garbled) are routed by a hash of the whole line, so
-        a malformed line always lands on the same worker and is
-        quarantined there with its shard label.  This is the ingest
-        shape the sharded daemon (ROADMAP item 1) consumes: raw lines
-        in, per-shard tolerant decode + funnel accounting out.
+        Routing reads only the header's node field (:func:`route_key`,
+        hashed once per node by :func:`shard_of`), so the parent stays
+        out of the decode business entirely — workers decode tolerantly
+        under the fleet's ``on_error`` policy, exactly as :meth:`run`
+        chunks do.  Lines whose header doesn't split (truncated,
+        garbled) are routed by a hash of the whole line, so a malformed
+        line always lands on the same worker and is quarantined there
+        with its shard label.  The live daemon routes its raw byte
+        records the same way (:func:`record_shard`).
         """
         shards: List[List[str]] = [[] for _ in range(self.n_workers)]
         n_shards = self.n_workers
@@ -316,7 +357,6 @@ class ParallelFleet:
         self._run_seq += 1
         run_seq = self._run_seq
         chunk_lines = self.chunk_lines
-        as_bytes = self.scan_backend != "str"
         pending = []
         chunk_sizes: List[int] = []
         for shard_idx, shard in enumerate(line_shards):
@@ -326,12 +366,9 @@ class ParallelFleet:
             for chunk_idx, start in enumerate(
                     range(0, len(shard), chunk_lines)):
                 chunk = shard[start : start + chunk_lines]
-                if as_bytes:
-                    # One newline-joined blob per chunk: a single bytes
-                    # pickle, split worker-side by the byte ingest.
-                    payload = "\n".join(chunk).encode("utf-8", "replace")
-                else:
-                    payload = chunk
+                # One newline-joined blob per chunk: a single bytes
+                # pickle, split worker-side by the fleet's ingest.
+                payload = "\n".join(chunk).encode("utf-8", "replace")
                 chunk_sizes.append(len(chunk))
                 # Trace context rides the payload and is echoed back in
                 # the result, tying each completion to its submission.

@@ -8,6 +8,12 @@ ingest funnel identity intact across the takeover, the outage visible
 (and then resolved) on ``/healthz`` and the ``aarohi_daemon_*``
 series.
 
+The stream drills run on every scan backend, fed the way a messy
+forwarder sends: CRLF endings, blank lines, invalid UTF-8 inside a node
+field and a final record with no newline.  Without a C compiler the
+``native`` leg degrades to ``bytes`` and must still match the batch
+reference.
+
 Everything here is numpy-free: the bundle is the handmade two-chain
 fixture from the state-handoff tests, so the drills also run on the
 no-numpy CI leg.  Run just these with ``pytest -m daemon``.
@@ -17,19 +23,43 @@ import json
 import os
 import signal
 import socket
+import sys
+import threading
 import time
 import urllib.request
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import ChainSet, FailureChain, LogEvent, ParallelFleet
-from repro.core.daemon import FleetDaemon
+from repro.core.daemon import FleetDaemon, _RecordSplitter
 from repro.core.events import Severity
+from repro.core.parallel import (
+    _memo_shard,
+    record_shard,
+    route_key,
+    shard_of,
+)
+from repro.native import native_available
 from repro.obs import Observability, ObsServer
+from repro.obs.names import (
+    INGEST_DECODED,
+    INGEST_LINES_READ,
+    INGEST_QUARANTINED,
+)
 from repro.persistence import PredictorBundle
 from repro.templates import TemplateStore
 
 pytestmark = pytest.mark.daemon
+
+BACKENDS = ("str", "bytes", "native")
+
+# A node whose field goes over the wire as invalid UTF-8: the lines are
+# built with the placeholder name, which the wire encoding swaps for
+# the raw bytes and the batch reference for their replace-decoding.
+PLACEHOLDER = "nodeQQ"
+BAD_NODE = b"n\xffbad"
 
 CHAIN_TOKENS = {
     "FC1": (176, 177, 178, 179, 180, 137),
@@ -72,6 +102,36 @@ def make_lines(nodes, reps=2, t0=1000.0, dt=0.25):
                     LogEvent(time=t, node=node, message=WORDS[tok]).to_line())
                 t += dt
     return lines
+
+
+def dirty_wire(lines):
+    """Encode ``lines`` as a messy forwarder sends them: CRLF after
+    every other record, blank lines (bare and CRLF) every few records,
+    the placeholder node as invalid UTF-8, and no newline after the
+    last record.  Returns the wire bytes and the lines the batch
+    reference must see."""
+    out = []
+    for i, line in enumerate(lines):
+        out.append(line.encode().replace(PLACEHOLDER.encode(), BAD_NODE))
+        out.append(b"\r\n" if i % 2 else b"\n")
+        if i % 5 == 0:
+            out.append(b"\r\n" if i % 10 else b"\n")
+    wire = b"".join(out).rstrip(b"\r\n")
+    decoded = BAD_NODE.decode("utf-8", "replace")
+    return wire, [line.replace(PLACEHOLDER, decoded) for line in lines]
+
+
+def resolved(backend):
+    """The backend a daemon asked for ``backend`` runs: ``native``
+    degrades to ``bytes`` without a C compiler."""
+    if backend == "native" and not native_available():
+        return "bytes"
+    return backend
+
+
+def counter_total(snapshot, name):
+    family = snapshot.get(name, {"series": []})
+    return sum(entry["value"] for entry in family["series"])
 
 
 def batch_predictions(bundle, lines):
@@ -121,9 +181,10 @@ def http_get(url, timeout=5.0):
 class TestKillMinus9Drill:
     """The headline drill: TCP stream + corruption + worker murder."""
 
-    def test_stream_equals_batch_across_takeover(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_stream_equals_batch_across_takeover(self, backend):
         bundle = make_bundle()
-        nodes = [f"node{i:02d}" for i in range(8)]
+        nodes = [f"node{i:02d}" for i in range(7)] + [PLACEHOLDER]
         lines = make_lines(nodes, reps=2)
         # Corruption mid-stream: a truncated header and invalid UTF-8.
         lines.insert(7, "truncated line")
@@ -135,8 +196,9 @@ class TestKillMinus9Drill:
         obs = Observability(quarantine_slo=0.10)
         daemon = FleetDaemon(
             bundle, n_shards=n_shards, chunk_lines=8,
-            poll_interval=0.02, obs=obs,
+            poll_interval=0.02, obs=obs, scan_backend=backend,
         ).start()
+        assert daemon.scan_backend == resolved(backend)
         try:
             assert daemon.wait_ready(30.0)
             addr = daemon.listen_tcp()
@@ -148,9 +210,10 @@ class TestKillMinus9Drill:
                 # Phase 1: every node walks 3 of FC5's 5 phrases, so
                 # every shard holds mid-chain state when the axe falls.
                 boundary = 3 * len(nodes) + 1  # +1: the inserted junk
-                head = ("\n".join(lines[:boundary]) + "\n").encode()
-                head += raw_garbage + b"\n"
-                send_all(addr, head)
+                head, head_lines = dirty_wire(lines[:boundary])
+                # The garbage is the connection's last record, sent
+                # without a newline: it ships when the sender closes.
+                send_all(addr, head + b"\r\n\n" + raw_garbage)
                 assert wait_lines(daemon, boundary + 1)
                 assert daemon.drain(30.0)
                 before = daemon.status()
@@ -183,7 +246,8 @@ class TestKillMinus9Drill:
 
                 # Phase 2: the rest of the stream over a fresh
                 # connection, through the replacement worker.
-                send_all(addr, ("\n".join(lines[boundary:]) + "\n").encode())
+                tail, tail_lines = dirty_wire(lines[boundary:])
+                send_all(addr, tail)
                 assert wait_lines(daemon, len(lines) + 1)
                 report = daemon.stop(drain=True)
         finally:
@@ -193,12 +257,15 @@ class TestKillMinus9Drill:
         assert report.drained
         # Byte-identical predictions: daemon-over-TCP == batch fleet on
         # the same decoded lines (replace-decoded, like the workers).
-        expected_lines = lines[:]
-        expected_lines.insert(
-            boundary, raw_garbage.decode("utf-8", "replace"))
+        expected_lines = (
+            head_lines + [raw_garbage.decode("utf-8", "replace")]
+            + tail_lines)
         assert pred_keys(report.predictions) == batch_predictions(
             bundle, expected_lines)
         assert len(report.predictions) == len(nodes) * 2
+        # The invalid-UTF-8 node walked its chains like any other.
+        bad = BAD_NODE.decode("utf-8", "replace")
+        assert sum(p.node == bad for p in report.predictions) == 2
 
         # Funnel identity holds across the takeover: every line the
         # daemon accepted was either decoded or quarantined.
@@ -217,6 +284,50 @@ class TestKillMinus9Drill:
         assert "aarohi_daemon_worker_deaths_total 1" in text
         assert "aarohi_daemon_handoffs_total 1" in text
         assert "aarohi_daemon_shards_up 2" in text
+
+
+class TestConcurrentConnections:
+    def test_parallel_senders_lose_nothing(self):
+        """More forwarders than cores, each on its own connection and
+        its own nodes, with a short thread switch interval: every
+        record is counted once and predictions match the batch run.  A
+        lost update in the shared routing buffers would break both."""
+        bundle = make_bundle()
+        groups = [[f"c{k}n{i}" for i in range(3)] for k in range(6)]
+        streams = [make_lines(nodes, reps=2) for nodes in groups]
+        daemon = FleetDaemon(
+            bundle, n_shards=2, chunk_lines=4, poll_interval=0.02,
+        ).start()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert daemon.wait_ready(30.0)
+            addr = daemon.listen_tcp()
+            senders = [
+                threading.Thread(
+                    target=send_all,
+                    args=(addr, ("\n".join(lines) + "\n").encode(), 61))
+                for lines in streams
+            ]
+            for sender in senders:
+                sender.start()
+            for sender in senders:
+                sender.join(timeout=30.0)
+                assert not sender.is_alive()
+            total = sum(map(len, streams))
+            assert wait_lines(daemon, total)
+            report = daemon.stop(drain=True)
+        finally:
+            sys.setswitchinterval(interval)
+            if not daemon._stopped:
+                daemon.stop(drain=False)
+        assert report.drained
+        assert daemon.status()["lines_received"] == total
+        assert report.ingest.lines_read == total
+        # Node sets are disjoint, so one batch run over the streams
+        # back to back keeps every node's order.
+        assert pred_keys(report.predictions) == batch_predictions(
+            bundle, [line for lines in streams for line in lines])
 
 
 class TestBackpressure:
@@ -250,18 +361,22 @@ class TestBackpressure:
 
 
 class TestUnixSocket:
-    def test_unix_stream_matches_batch(self, tmp_path):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unix_stream_matches_batch(self, tmp_path, backend):
         bundle = make_bundle()
-        lines = make_lines([f"n{i}" for i in range(4)], reps=1)
+        wire, lines = dirty_wire(
+            make_lines([f"n{i}" for i in range(3)] + [PLACEHOLDER], reps=1))
         daemon = FleetDaemon(
             bundle, n_shards=2, chunk_lines=4, poll_interval=0.02,
+            scan_backend=backend,
         ).start()
+        assert daemon.scan_backend == resolved(backend)
         try:
             assert daemon.wait_ready(30.0)
             path = daemon.listen_unix(tmp_path / "aarohi.sock")
             with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
                 sock.connect(path)
-                sock.sendall(("\n".join(lines) + "\n").encode())
+                sock.sendall(wire)
             assert wait_lines(daemon, len(lines))
             report = daemon.stop(drain=True)
         finally:
@@ -347,6 +462,13 @@ class TestDaemonValidation:
         with pytest.raises(ValueError, match="on_error"):
             FleetDaemon(bundle, on_error="explode")
 
+    def test_rejects_strict_policy(self):
+        """A strict worker dies on the first malformed record and its
+        replacement replays the same chunk into the same death, so a
+        live service cannot run under strict."""
+        with pytest.raises(ValueError, match="strict"):
+            FleetDaemon(make_bundle(), on_error="strict")
+
     def test_status_is_json_serializable(self):
         bundle = make_bundle()
         daemon = FleetDaemon(bundle, n_shards=1, poll_interval=0.02).start()
@@ -356,3 +478,112 @@ class TestDaemonValidation:
             assert '"ok": true' in payload
         finally:
             daemon.stop(drain=False)
+
+
+# Raw records built from fragments that stress the router: spaces (the
+# field separator), invalid and truncated UTF-8, valid multi-byte text,
+# CR bytes and arbitrary binary.
+RECORD_FRAGMENTS = st.one_of(
+    st.binary(max_size=6),
+    st.sampled_from([
+        b" ", b"  ", b"\xff", b"\xe2\x82", b"\xf0\x9f\x98", b"\xc3\xa9",
+        b"\r", b"node07",
+    ]),
+)
+RAW_RECORDS = st.lists(RECORD_FRAGMENTS, max_size=12).map(
+    lambda parts: b"".join(parts).replace(b"\n", b""))
+
+
+class TestByteRouting:
+    @given(RAW_RECORDS, st.integers(1, 5))
+    def test_byte_router_matches_decoded_routing(self, raw, n_shards):
+        """Every raw record lands on the shard its replace-decoded line
+        routes to, so stream and batch shard identically."""
+        line = raw.decode("utf-8", "replace")
+        assert record_shard(raw, n_shards) == shard_of(
+            route_key(line), n_shards)
+
+    def test_long_keys_bypass_the_memo(self):
+        """Oversized node fields and the whole-line key of a malformed
+        record are hashed on every call rather than memoized, yet route
+        exactly as their decoded text does."""
+        records = [
+            b"2020-01-01T00:00:00 " + b"x" * 1000 + b" msg",
+            b"no-spaces-at-all-" * 40,
+            b"\xff" + b"garbage-" * (1 << 17),
+        ]
+        memoized = _memo_shard.cache_info().currsize
+        for raw in records:
+            line = raw.decode("utf-8", "replace")
+            assert record_shard(raw, 3) == shard_of(route_key(line), 3)
+            shard_of(line, 3)
+        assert _memo_shard.cache_info().currsize == memoized
+
+
+class TestRecordFraming:
+    @given(st.binary(max_size=200).map(lambda raw: raw.replace(b"x", b"\n")),
+           st.lists(st.integers(0, 200), max_size=8))
+    def test_reads_reassemble_the_stream(self, stream, cuts):
+        """However a stream is cut into reads, the splitter yields the
+        records a single split of the whole stream gives, and holds the
+        unterminated rest."""
+        splitter = _RecordSplitter()
+        bounds = [0, *sorted(cuts), len(stream)]
+        records = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            records.extend(splitter.feed(stream[lo:hi]))
+        *whole, rest = stream.split(b"\n")
+        assert records == whole
+        assert splitter.rest() == rest
+
+
+class TestIngestCountedOnce:
+    """Workers ship each chunk's ingest funnel with its result and the
+    parent folds it in once: every line appears once in the summed
+    ``aarohi_ingest_*`` series and once in ``obs.ingest``."""
+
+    def corrupted(self):
+        lines = make_lines([f"n{i}" for i in range(4)], reps=1)
+        lines.insert(3, "truncated line")
+        lines.insert(9, "not-a-time node07 golf x")
+        return lines
+
+    def assert_counted_once(self, obs, ingest):
+        snap = obs.registry.snapshot()
+        assert counter_total(snap, INGEST_LINES_READ) == ingest.lines_read
+        assert (counter_total(snap, INGEST_DECODED)
+                + counter_total(snap, INGEST_QUARANTINED)
+                == ingest.lines_read)
+        assert counter_total(snap, INGEST_QUARANTINED) == 2
+        assert obs.ingest.lines_read == ingest.lines_read
+        assert ingest.funnel_ok
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_daemon_counts_each_line_once(self, backend):
+        lines = self.corrupted()
+        obs = Observability(quarantine_slo=0.5)
+        daemon = FleetDaemon(
+            make_bundle(), n_shards=2, chunk_lines=4, poll_interval=0.02,
+            obs=obs, scan_backend=backend,
+        ).start()
+        try:
+            assert daemon.wait_ready(30.0)
+            for line in lines:
+                daemon.submit(line)
+            report = daemon.stop(drain=True)
+        finally:
+            if not daemon._stopped:
+                daemon.stop(drain=False)
+        assert report.drained
+        assert report.ingest.lines_read == len(lines)
+        self.assert_counted_once(obs, report.ingest)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_parallel_fleet_counts_each_line_once(self, backend):
+        lines = self.corrupted()
+        obs = Observability(quarantine_slo=0.5)
+        with ParallelFleet(make_bundle(), n_workers=2, chunk_lines=4,
+                           obs=obs, scan_backend=backend) as fleet:
+            fleet.run_lines(lines)
+        assert fleet.ingest.lines_read == len(lines)
+        self.assert_counted_once(obs, fleet.ingest)

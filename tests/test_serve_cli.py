@@ -190,6 +190,17 @@ class TestServeRoundTrip:
         assert result.returncode != 0
         assert b"cannot load bundle" in result.stderr
 
+    def test_serve_rejects_strict_policy(self, tmp_path):
+        """A live daemon cannot halt at the first bad record: strict is
+        refused up front with a message, not a worker crash loop."""
+        bundle_path = tmp_path / "bundle.json"
+        write_bundle(bundle_path)
+        result = run_cli(
+            ["serve", "--bundle", str(bundle_path), "--on-error", "strict"],
+            capture_output=True)
+        assert result.returncode != 0
+        assert b"serve: on_error='strict'" in result.stderr
+
 
 def _skip_without_numpy():
     pytest.importorskip("numpy")
